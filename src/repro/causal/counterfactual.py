@@ -55,6 +55,17 @@ def _as_key(values: Sequence) -> tuple:
     return tuple(float(v) for v in values)
 
 
+def _rank(levels: np.ndarray, values: np.ndarray,
+          missing: np.ndarray) -> np.ndarray:
+    """Position of each value in the sorted ``levels``; flags values that
+    are not among them in ``missing`` (their position is clamped, so it
+    is a valid index that the caller must discard)."""
+    pos = np.searchsorted(levels, values)
+    np.minimum(pos, levels.size - 1, out=pos)
+    missing |= levels[pos] != values
+    return pos
+
+
 @dataclass(frozen=True)
 class DiscreteCPT:
     """A conditional probability table with monotone noise semantics.
@@ -104,18 +115,32 @@ class DiscreteCPT:
         if np.any(np.diff(domain) <= 0):
             raise ValueError("domain must be strictly increasing")
         object.__setattr__(self, "domain", domain)
-        normalised = {}
-        for key, probs in self.table.items():
-            vec = np.asarray(probs, dtype=float)
-            if vec.shape != domain.shape:
-                raise ValueError(
-                    f"probability vector for {key} has shape {vec.shape}, "
-                    f"expected {domain.shape}"
-                )
-            if np.any(vec < 0) or not np.isclose(vec.sum(), 1.0, atol=1e-8):
-                raise ValueError(f"invalid distribution for {key}: {vec}")
-            normalised[_as_key(key)] = vec / vec.sum()
-        object.__setattr__(self, "table", normalised)
+        keys = list(self.table)
+        vecs = [np.asarray(probs, dtype=float)
+                for probs in self.table.values()]
+        # Validate every vector in one stacked pass, raising for the
+        # first offending key in table order — a shape error at key
+        # ``s`` only wins if no earlier key holds a bad distribution.
+        n_ok = next((i for i, vec in enumerate(vecs)
+                     if vec.shape != domain.shape), len(vecs))
+        stacked = np.array(vecs[:n_ok]).reshape(n_ok, domain.size)
+        sums = stacked.sum(axis=1)
+        bad = ((stacked < 0).any(axis=1)
+               | ~np.isclose(sums, 1.0, atol=1e-8))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"invalid distribution for {keys[i]}: {vecs[i]}")
+        if n_ok < len(vecs):
+            raise ValueError(
+                f"probability vector for {keys[n_ok]} has shape "
+                f"{vecs[n_ok].shape}, expected {domain.shape}"
+            )
+        # Row-wise sums and divisions are bit-identical to normalising
+        # each vector on its own.
+        object.__setattr__(self, "table",
+                           dict(zip(map(_as_key, keys),
+                                    stacked / sums[:, None])))
         fallback = (np.full(domain.size, 1.0 / domain.size)
                     if self.fallback is None
                     else np.asarray(self.fallback, dtype=float))
@@ -130,7 +155,17 @@ class DiscreteCPT:
         fallback.  Separated from ``__post_init__`` so deserialization
         can restore the normalised attributes verbatim and recompile —
         re-normalising an already-normalised vector shifts ulps, and
-        the serving path promises bit-identical audits."""
+        the serving path promises bit-identical audits.
+
+        Also compiles the parent lookup of :meth:`_rows`: each parent's
+        sorted level array, and the sorted mixed-radix codes of the
+        table keys (digit ``j`` of a key is the rank of its ``j``-th
+        value among that parent's levels) with the matrix row of each
+        code.  Where the running radix product would overflow int64,
+        the code is first compacted to its rank among the keys'
+        distinct prefixes (``_stages``), so the lookup is exact for any
+        table.
+        """
         probs = np.empty((len(self.table) + 1, self.domain.size))
         index: dict[tuple, int] = {}
         for row, (key, vec) in enumerate(self.table.items()):
@@ -143,6 +178,24 @@ class DiscreteCPT:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_probs", probs)
         object.__setattr__(self, "_cdf", cdf)
+
+        keys = np.array(list(index), dtype=float).reshape(
+            len(index), len(self.parents))
+        levels = [np.unique(col) for col in keys.T] if len(index) else []
+        stages: dict[int, np.ndarray] = {}
+        code = np.zeros(len(index), dtype=np.int64)
+        bound = 1  # exclusive upper bound of the running code
+        for j, lv in enumerate(levels):
+            if bound > np.iinfo(np.int64).max // lv.size:
+                stages[j], code = np.unique(code, return_inverse=True)
+                bound = stages[j].size
+            code = code * lv.size + np.searchsorted(lv, keys[:, j])
+            bound *= lv.size
+        order = np.argsort(code)
+        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "_stages", stages)
+        object.__setattr__(self, "_codes", code[order])
+        object.__setattr__(self, "_code_rows", order)
 
     # ------------------------------------------------------------------
     # Serialization (the artifact-bundle state protocol)
@@ -173,14 +226,15 @@ class DiscreteCPT:
               n: int) -> np.ndarray:
         """Map each row's parent combination to its compiled-matrix row.
 
-        Each distinct combination is resolved exactly once: the parent
-        columns are integer-coded per column, combined into a single
-        mixed-radix code, and deduplicated with :func:`np.unique` — so
-        the dict is consulted per *unique* combination, not per row.
-        Small batches (the per-request serving path, where ``n`` is a
-        particle count) skip the array machinery entirely: at that size
-        the fixed cost of a few :func:`np.unique` calls dwarfs a memoised
-        dict walk.
+        Large batches run as pure gathers over the lookup compiled by
+        :meth:`_compile`: one :func:`np.searchsorted` per parent turns
+        values into level ranks (a value outside that parent's levels
+        marks the row missing), the ranks combine into the key's
+        mixed-radix code, and one more search finds the code among the
+        table's — absent combinations get the fallback row.  Small
+        batches (the per-request serving path, where ``n`` is a
+        particle count) take a memoised dict walk instead: at that size
+        the fixed cost of the per-parent searches dwarfs it.
         """
         fallback_row = len(self._index)
         if not self.parents:
@@ -195,7 +249,7 @@ class DiscreteCPT:
             key = tuple(col.item(0) for col in columns)
             return np.full(n, self._index.get(key, fallback_row),
                            dtype=np.intp)
-        if n <= 128:
+        if n <= 64:
             rows = np.empty(n, dtype=np.intp)
             memo: dict[tuple, int] = {}
             for i, key in enumerate(zip(*(col.tolist()
@@ -206,18 +260,17 @@ class DiscreteCPT:
                     memo[key] = row
                 rows[i] = row
             return rows
-        codes = np.zeros(n, dtype=np.int64)
-        for col in columns:
-            uniq, inv = np.unique(col, return_inverse=True)
-            codes = codes * (uniq.size + 1) + inv
-        first, inverse = np.unique(codes, return_index=True,
-                                   return_inverse=True)[1:]
-        rows = np.fromiter(
-            (self._index.get(_as_key(col[i] for col in columns),
-                             fallback_row)
-             for i in first),
-            dtype=np.intp, count=first.size)
-        return rows[inverse]
+        if not self._codes.size:
+            return np.full(n, fallback_row, dtype=np.intp)
+        missing = np.zeros(n, dtype=bool)
+        code = np.zeros(n, dtype=np.int64)
+        for j, (col, lv) in enumerate(zip(columns, self._levels)):
+            if j in self._stages:
+                code = _rank(self._stages[j], code, missing)
+            code = code * lv.size + _rank(lv, col, missing)
+        rows = self._code_rows[_rank(self._codes, code, missing)]
+        rows[missing] = fallback_row
+        return rows
 
     def probabilities(self, parent_values: Mapping[str, np.ndarray],
                       n: int) -> np.ndarray:
@@ -341,7 +394,6 @@ class CounterfactualSCM:
             parents = tuple(graph.parents(node))
             parent_cols = [np.asarray(columns[p], dtype=float)
                            for p in parents]
-            table: dict[tuple, np.ndarray] = {}
             if parents:
                 stacked = np.column_stack(parent_cols)
                 combos, inverse = np.unique(stacked, axis=0,
@@ -353,13 +405,13 @@ class CounterfactualSCM:
                     minlength=combos.shape[0] * domain.size,
                 ).reshape(combos.shape[0], domain.size).astype(float)
                 counts += laplace
-                for j, combo in enumerate(combos):
-                    table[_as_key(combo)] = counts[j] / counts[j].sum()
+                table = dict(zip(map(tuple, combos.tolist()),
+                                 counts / counts.sum(axis=1, keepdims=True)))
             else:
                 counts = (np.bincount(val_codes, minlength=domain.size)
                           .astype(float))
                 counts += laplace
-                table[()] = counts / counts.sum()
+                table = {(): counts / counts.sum()}
             cpts[node] = DiscreteCPT(parents=parents, domain=domain,
                                      table=table)
         return cls(graph, cpts)
@@ -543,7 +595,6 @@ class CounterfactualSCM:
                     if k in self.graph}
         if len(observed) == len(self.graph.nodes):
             return self.abduct(observed, n_particles, rng)
-        kept: list[dict[str, float]] = []
         accepted: dict[str, list[np.ndarray]] = {
             node: [] for node in self._order}
         total = 0
@@ -565,7 +616,8 @@ class CounterfactualSCM:
                 }
         raise RuntimeError(
             f"abduct_partial found only {total}/{n_particles} consistent "
-            f"samples for evidence {observed}; kept={len(kept)}"
+            f"samples for evidence {observed} within {max_tries} "
+            f"batches of {batch}"
         )
 
     def counterfactual(self, evidence: Mapping[str, float],

@@ -1,5 +1,8 @@
 """Tests for the discrete counterfactual SCM (abduction–action–prediction)."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,6 +206,19 @@ class TestCounterfactualSCM:
         # The unobserved mediator must retain posterior variability.
         assert len(np.unique(replay["Z"])) == 2
 
+    def test_abduct_partial_failure_reports_accepted_count(self):
+        # P(S=0, Y=1) = 0.08: one batch of 400 accepts some particles,
+        # but far fewer than the 100 asked for.
+        scm = chain_scm()
+        with pytest.raises(RuntimeError) as info:
+            scm.abduct_partial({"S": 0.0, "Y": 1.0}, 100, RNG(4),
+                               max_tries=1)
+        message = str(info.value)
+        found, wanted = map(int, re.search(r"found only (\d+)/(\d+)",
+                                           message).groups())
+        assert 0 < found < wanted == 100
+        assert "kept=0" not in message
+
     def test_abduct_partial_full_evidence_delegates(self):
         scm = chain_scm()
         noise = scm.abduct_partial({"S": 0.0, "Z": 1.0, "Y": 1.0}, 50, RNG(6))
@@ -350,6 +366,206 @@ class TestCompiledCptParity:
             for key, vec in table.items():
                 assert np.allclose(cpt.table[key], vec, atol=1e-15), (
                     node, key)
+
+
+# ----------------------------------------------------------------------
+# The compiled parent lookup behind probabilities/apply/abduct
+# ----------------------------------------------------------------------
+def wide_cpt(seed, n_parents=10, n_levels=3, n_keys=995, domain_size=3):
+    """A CPT shaped like german's ``credit_risk``: many parents, with a
+    sparse random subset of their level combinations as table keys.
+    Parent 0 always has the level 0.0 (the ``-0.0`` queries need it)."""
+    rng = RNG(seed)
+    pool = np.array([-1.5, 1.0, 2.0, 3.25, 7.0, 11.5])
+    if n_levels > pool.size:
+        pool = np.arange(1, n_levels + 1, dtype=float) / 4
+    levels = [np.sort(rng.choice(pool, n_levels, replace=False))
+              for _ in range(n_parents)]
+    levels[0][0] = 0.0
+    combos = np.unique(np.column_stack(
+        [rng.choice(lv, n_keys) for lv in levels]), axis=0)
+    probs = rng.random((combos.shape[0], domain_size)) + 0.05
+    table = dict(zip(map(tuple, combos.tolist()),
+                     probs / probs.sum(axis=1, keepdims=True)))
+    parents = tuple(f"P{i}" for i in range(n_parents))
+    return DiscreteCPT(parents, np.arange(domain_size, dtype=float), table)
+
+
+def wide_queries(cpt, n, seed, broadcast="none"):
+    """Parent columns mixing table hits, near misses (a hit with one
+    value swapped for another seen level), unseen combinations of seen
+    levels, values outside a parent's levels, NaN and ``-0.0``; with
+    ``broadcast`` set, some or all columns are stride-0 views."""
+    rng = RNG(seed)
+    keys = np.array(list(cpt.table))
+    levels = [np.unique(col) for col in keys.T]
+    p = len(cpt.parents)
+    out = keys[rng.integers(0, len(keys), n)]
+    kind = rng.integers(0, 6, n)
+    col = rng.integers(0, p, n)
+    for i in range(n):
+        if kind[i] == 1:
+            out[i, col[i]] = rng.choice(levels[col[i]])
+        elif kind[i] == 2:
+            out[i] = [rng.choice(lv) for lv in levels]
+        elif kind[i] == 3:
+            out[i, col[i]] = 99.5
+        elif kind[i] == 4:
+            out[i, col[i]] = np.nan
+    out[:, 0][(out[:, 0] == 0.0) & (rng.random(n) < 0.5)] = -0.0
+    columns = {name: out[:, j].copy() for j, name in enumerate(cpt.parents)}
+    flat = {"none": [], "some": cpt.parents[::3],
+            "all": cpt.parents}[broadcast]
+    for name in flat:
+        columns[name] = np.broadcast_to(columns[name][0], (n,))
+    return columns
+
+
+def assert_matches_loop(cpt, queries, n, seed):
+    from repro.causal.reference import (cpt_abduct_loop, cpt_apply_loop,
+                                        cpt_probabilities_loop)
+
+    assert np.array_equal(cpt.probabilities(queries, n),
+                          cpt_probabilities_loop(cpt, queries, n))
+    noise = RNG(seed).random(n)
+    assert np.array_equal(cpt.apply(queries, noise),
+                          cpt_apply_loop(cpt, queries, noise))
+    observed = RNG(seed + 1).choice(cpt.domain, size=n)
+    assert np.array_equal(
+        cpt.abduct(queries, observed, RNG(seed + 2)),
+        cpt_abduct_loop(cpt, queries, observed, RNG(seed + 2)))
+
+
+class TestCompiledLookup:
+    """``_rows`` resolves parent combinations by vectorized searches over
+    compiled level and key-code arrays (and by a memoised dict walk for
+    small batches); every path must agree exactly with the per-row dict
+    lookup of the loop reference."""
+
+    @given(n=st.sampled_from([1, 64, 128, 129, 257, 20_000]),
+           seed=st.integers(0, 2**16),
+           broadcast=st.sampled_from(["none", "some", "all"]))
+    @settings(max_examples=30, deadline=None)
+    def test_wide_table_matches_loop(self, n, seed, broadcast):
+        cpt = wide_cpt(seed % 7)
+        assert len(cpt.parents) >= 10 and len(cpt.table) > 500
+        queries = wide_queries(cpt, n, seed, broadcast)
+        assert_matches_loop(cpt, queries, n, seed)
+
+    @pytest.mark.parametrize("n", [64, 129, 5000])
+    def test_radix_product_beyond_int64_matches_loop(self, n):
+        cpt = wide_cpt(1, n_parents=12, n_levels=300, n_keys=400)
+        keys = np.array(list(cpt.table))
+        radix = math.prod(np.unique(col).size for col in keys.T)
+        assert radix > np.iinfo(np.int64).max
+        assert_matches_loop(cpt, wide_queries(cpt, n, seed=n), n, seed=n)
+
+    def test_radix_overflow_cannot_alias(self):
+        # Nine parents of 256 levels: a mixed-radix code wrapped modulo
+        # 2**64 would drop parent 0's digit entirely, so a key with its
+        # first value swapped for another seen level would alias the
+        # key itself.  The lookup must still report it absent.
+        n_keys, p = 256, 9
+        keys = (np.arange(n_keys)[:, None] + 17 * np.arange(p)) % 256
+        probs = RNG(0).random((n_keys, 2)) + 0.05
+        table = dict(zip(map(tuple, keys.astype(float).tolist()),
+                         probs / probs.sum(axis=1, keepdims=True)))
+        cpt = DiscreteCPT(tuple(f"P{i}" for i in range(p)),
+                          np.array([0.0, 1.0]), table)
+        near = keys.astype(float)
+        near[:, 0] = (near[:, 0] + 1) % 256
+        queries = {f"P{i}": np.concatenate([keys[:, i], near[:, i]])
+                   .astype(float) for i in range(p)}
+        probs = cpt.probabilities(queries, 2 * n_keys)
+        assert np.array_equal(probs[n_keys:],
+                              np.tile(cpt.fallback, (n_keys, 1)))
+        assert_matches_loop(cpt, queries, 2 * n_keys, seed=0)
+
+    def test_negative_zero_resolves_like_zero(self):
+        cpt = DiscreteCPT(("a", "b"), np.array([0.0, 1.0]), {
+            (0.0, 1.0): np.array([0.9, 0.1]),
+            (-0.0, 2.0): np.array([0.2, 0.8]),
+        })
+        n = 300
+        a = np.where(np.arange(n) % 2 == 0, -0.0, 0.0)
+        b = np.where(np.arange(n) % 3 == 0, 2.0, 1.0)
+        probs = cpt.probabilities({"a": a, "b": b}, n)
+        assert np.array_equal(probs[:, 1], np.where(b == 2.0, 0.8, 0.1))
+
+    def test_nan_never_matches_a_key(self):
+        # A NaN key is unreachable through a dict lookup (NaN != NaN),
+        # so compiled lookups must give those rows the fallback too.
+        cpt = DiscreteCPT(("a",), np.array([0.0, 1.0]), {
+            (np.nan,): np.array([0.9, 0.1]),
+            (1.0,): np.array([0.2, 0.8]),
+        }, fallback=np.array([0.5, 0.5]))
+        a = np.tile([np.nan, 1.0, 3.0], 100)
+        probs = cpt.probabilities({"a": a}, a.size)
+        assert np.array_equal(probs[:, 1], np.tile([0.5, 0.8, 0.5], 100))
+
+    def test_table_without_keys_resolves_to_fallback(self):
+        cpt = DiscreteCPT(("a",), np.array([0.0, 1.0]), {},
+                          fallback=np.array([0.25, 0.75]))
+        for n in (3, 500):
+            probs = cpt.probabilities({"a": np.zeros(n)}, n)
+            assert np.array_equal(probs, np.tile([0.25, 0.75], (n, 1)))
+
+    @pytest.mark.parametrize("n", [1, 64, 129, 5000])
+    def test_codec_roundtrip_resolves_identically(self, n):
+        from repro.artifacts import decode, encode
+
+        cpt = wide_cpt(5)
+        arrays = {}
+        back = decode(encode(cpt, arrays), arrays)
+        queries = wide_queries(cpt, n, seed=n)
+        assert np.array_equal(back.probabilities(queries, n),
+                              cpt.probabilities(queries, n))
+        noise = RNG(n).random(n)
+        assert np.array_equal(back.apply(queries, noise),
+                              cpt.apply(queries, noise))
+
+
+class TestBatchedValidation:
+    """Validation runs over all vectors at once but still names the
+    first offending key in table order."""
+
+    def make_table(self, second, third=(0.5, 0.5)):
+        return {(0.0, 0.0): np.array([0.5, 0.5]),
+                (0.0, 1.0): np.asarray(second, dtype=float),
+                (1.0, 0.0): np.asarray(third, dtype=float)}
+
+    def build(self, table):
+        return DiscreteCPT(("a", "b"), np.array([0.0, 1.0]), table)
+
+    def test_negative_entry_names_key(self):
+        with pytest.raises(ValueError, match=r"invalid distribution for "
+                                             r"\(0\.0, 1\.0\)"):
+            self.build(self.make_table((1.2, -0.2)))
+
+    def test_bad_sum_names_key(self):
+        with pytest.raises(ValueError, match=r"invalid distribution for "
+                                             r"\(0\.0, 1\.0\): \[0\.5 0\.6\]"):
+            self.build(self.make_table((0.5, 0.6)))
+
+    def test_wrong_shape_names_key(self):
+        with pytest.raises(ValueError, match=r"probability vector for "
+                                             r"\(0\.0, 1\.0\) has shape "
+                                             r"\(3,\), expected \(2,\)"):
+            self.build(self.make_table((0.2, 0.3, 0.5)))
+
+    def test_first_offending_key_wins(self):
+        with pytest.raises(ValueError, match="invalid distribution"):
+            self.build(self.make_table((0.5, 0.6), third=(1.0,)))
+        with pytest.raises(ValueError, match="has shape"):
+            self.build(self.make_table((1.0,), third=(0.5, 0.6)))
+
+    def test_normalisation_bit_identical_to_per_vector(self):
+        rng = RNG(3)
+        raw = {(float(i),): v / v.sum()
+               for i, v in enumerate(rng.random((40, 9)) + 0.01)}
+        cpt = DiscreteCPT(("a",), np.arange(9, dtype=float), raw)
+        for key, vec in raw.items():
+            assert np.array_equal(cpt.table[key], vec / vec.sum())
 
 
 class TestAbductRows:
