@@ -15,7 +15,7 @@ Public API tour:
 * :mod:`repro.models` — from-scratch LR / SVM / kNN / RF / MLP / NB.
 * :mod:`repro.causal` — causal graphs, SCMs, TE/NDE/NIE estimation.
 * :mod:`repro.metrics` — correctness + fairness metrics of the paper.
-* :mod:`repro.fairness` — the 21 evaluated fair-classification variants.
+* :mod:`repro.fairness` — the 24 evaluated fair-classification variants.
 * :mod:`repro.errors` — the T1/T2/T3 corruption recipes.
 * :mod:`repro.pipeline` — uniform experiment runner and reports.
 * :mod:`repro.engine` — declarative scenario grids, parallel sweeps,

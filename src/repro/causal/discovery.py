@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .graph import CausalGraph
 
@@ -32,6 +31,8 @@ def g_test(x: np.ndarray, y: np.ndarray,
     degrees of freedom are summed over strata (the standard CI-test
     construction used by constraint-based structure learners).
     """
+    from scipy import stats
+
     x = np.asarray(x)
     y = np.asarray(y)
     if x.shape != y.shape:

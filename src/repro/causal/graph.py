@@ -9,8 +9,12 @@ the natural direct/indirect effects.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from typing import TYPE_CHECKING
 
-import networkx as nx
+# networkx is imported by the methods that use it, so importing the
+# package (every CLI command) does not pay for it.
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class CausalGraph:
@@ -31,6 +35,8 @@ class CausalGraph:
 
     def __init__(self, edges: Iterable[tuple[str, str]],
                  nodes: Iterable[str] = ()):
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(nodes)
         g.add_edges_from(edges)
@@ -67,17 +73,23 @@ class CausalGraph:
         return sorted(self._g.successors(node))
 
     def ancestors(self, node: str) -> set[str]:
+        import networkx as nx
+
         return set(nx.ancestors(self._g, node))
 
     def descendants(self, node: str) -> set[str]:
         cached = self._descendants.get(node)
         if cached is None:
+            import networkx as nx
+
             cached = frozenset(nx.descendants(self._g, node))
             self._descendants[node] = cached
         return set(cached)
 
     def topological_order(self) -> list[str]:
         """Nodes in an order where every cause precedes its effects."""
+        import networkx as nx
+
         return list(nx.topological_sort(self._g))
 
     # ------------------------------------------------------------------
@@ -85,9 +97,13 @@ class CausalGraph:
     # ------------------------------------------------------------------
     def directed_paths(self, source: str, target: str) -> list[list[str]]:
         """All directed paths from ``source`` to ``target``."""
+        import networkx as nx
+
         return [list(p) for p in nx.all_simple_paths(self._g, source, target)]
 
     def has_directed_path(self, source: str, target: str) -> bool:
+        import networkx as nx
+
         return nx.has_path(self._g, source, target)
 
     def mediators(self, source: str, target: str) -> set[str]:
@@ -112,6 +128,8 @@ class CausalGraph:
     def d_separated(self, x: Iterable[str] | str, y: Iterable[str] | str,
                     given: Iterable[str] = ()) -> bool:
         """True if every path between ``x`` and ``y`` is blocked by ``given``."""
+        import networkx as nx
+
         xs = {x} if isinstance(x, str) else set(x)
         ys = {y} if isinstance(y, str) else set(y)
         return nx.is_d_separator(self._g, xs, ys, set(given))

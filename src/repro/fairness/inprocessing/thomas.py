@@ -18,7 +18,6 @@ Two variants are evaluated (paper Figure 5): :class:`ThomasDP`
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from ...datasets.dataset import Dataset
 from ...models.base import add_intercept, sigmoid
@@ -115,6 +114,8 @@ class _ThomasBase(InProcessor):
         initial_barrier = self.barrier
         # Warm-start candidate selection from the unconstrained MLE —
         # the barrier then carves the fair region out of a good basin.
+        from scipy import optimize
+
         from ...models.logistic import LogisticRegression
 
         warm = LogisticRegression().fit(X, train.y)

@@ -13,7 +13,6 @@ Appendix B.3.2).
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from ..base import Notion, PostProcessor
 
@@ -30,6 +29,8 @@ class Hardt(PostProcessor):
 
     def fit(self, y: np.ndarray, scores: np.ndarray,
             s: np.ndarray) -> "Hardt":
+        from scipy import optimize
+
         y = np.asarray(y).astype(int)
         s = np.asarray(s).astype(int)
         y_hat = (np.asarray(scores, float) >= 0.5).astype(int)

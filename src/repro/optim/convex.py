@@ -16,7 +16,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 """Returns ``(value, gradient)`` at a parameter vector."""
@@ -54,6 +53,8 @@ def minimize_penalty(loss: Objective,
     tol:
         Constraint-violation target; outer loop stops early below it.
     """
+    from scipy import optimize
+
     theta = np.asarray(theta0, dtype=float).copy()
     mu = mu0
     outer_done = 0

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 __all__ = [
     "StabilitySummary",
@@ -137,6 +136,8 @@ def paired_comparison(a: np.ndarray, b: np.ndarray,
     of approach B, which removes the shared fold-difficulty variance —
     the right design for the paper's repeated-fold protocol.
     """
+    from scipy import stats as scipy_stats
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or a.size < 2:

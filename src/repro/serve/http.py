@@ -16,8 +16,11 @@ Routes
 
 Malformed JSON, unknown routes, and :class:`AuditRequestError` map to
 400/404 with a JSON ``{"error": ...}`` body; unexpected failures map
-to 500.  All error paths count on the ``serve.errors`` counter,
-requests on ``serve.requests`` (via the service).
+to 500.  A ``Content-Length`` that is not a non-negative integer gets
+400 and one above :data:`MAX_BODY_BYTES` gets 413; both are answered
+without reading the body, and the connection is then closed.  All
+error paths count on the ``serve.errors`` counter, requests on
+``serve.requests`` (via the service).
 """
 
 from __future__ import annotations
@@ -30,9 +33,20 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from .. import obs
 from .service import AuditRequestError, AuditService
 
-__all__ = ["AuditHTTPServer", "serve_forever"]
+__all__ = ["AuditHTTPServer", "MAX_BODY_BYTES", "serve_forever"]
 
 log = logging.getLogger("repro.serve")
+
+MAX_BODY_BYTES = 8 * 1024 * 1024
+"""Largest request body accepted (a 64-row batch is a few KiB)."""
+
+
+class _BodyLengthError(Exception):
+    """A ``Content-Length`` the server will not read a body for."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 class AuditHTTPServer(ThreadingHTTPServer):
@@ -70,21 +84,34 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib name
         log.debug("%s %s", self.address_string(), format % args)
 
-    def _send_json(self, status: int, payload: dict) -> None:
+    def _send_json(self, status: int, payload: dict,
+                   close: bool = False) -> None:
         body = json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            # Also sets close_connection, so the handler stops reading.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
         self.server.count_request()
 
-    def _fail(self, status: int, message: str) -> None:
+    def _fail(self, status: int, message: str, close: bool = False) -> None:
         obs.add("serve.errors")
-        self._send_json(status, {"error": message})
+        self._send_json(status, {"error": message}, close=close)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        if not (header.isascii() and header.isdigit()):
+            raise _BodyLengthError(
+                400, f"Content-Length must be a non-negative integer, "
+                     f"got {header!r}")
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            raise _BodyLengthError(
+                413, f"request body of {length} bytes exceeds the "
+                     f"{MAX_BODY_BYTES}-byte limit")
         raw = self.rfile.read(length) if length else b""
         try:
             payload = json.loads(raw or b"null")
@@ -133,6 +160,10 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(200, {"results": results})
             else:
                 self._fail(404, f"unknown path {self.path!r}")
+        except _BodyLengthError as exc:
+            # The body is left unread, so the stream can no longer be
+            # framed into requests: answer, then drop the connection.
+            self._fail(exc.status, str(exc), close=True)
         except AuditRequestError as exc:
             # Already counted on serve.errors when raised inside the
             # service; body/shape errors raised here are not, so count

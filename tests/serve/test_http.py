@@ -1,6 +1,7 @@
 """HTTP front end: routes, parity with the in-process service,
 error mapping, request-cap shutdown."""
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -10,6 +11,7 @@ import pytest
 
 from repro import obs
 from repro.serve import AuditService, serve_forever
+from repro.serve.http import MAX_BODY_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +114,49 @@ class TestErrors:
         assert status == 400
         assert "missing required columns" in body["error"]
         assert rec.counters["serve.errors"] == 1
+
+
+def post_raw(base, length, body=b""):
+    """POST ``body`` to /audit-one-row declaring ``Content-Length:
+    length`` verbatim; return (status, JSON body, Connection header)."""
+    host, port = base.removeprefix("http://").split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=30)
+    try:
+        conn.putrequest("POST", "/audit-one-row")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", length)
+        conn.endheaders()
+        if body:
+            conn.send(body)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read()), resp.getheader(
+            "Connection")
+    finally:
+        conn.close()
+
+
+class TestContentLength:
+    @pytest.mark.parametrize("length", ["abc", "-5", "1.5", "0x10", "+7"])
+    def test_invalid_length_400(self, live_server, length):
+        with obs.recording() as rec:
+            status, body, connection = post_raw(live_server, length, b"{}")
+        assert status == 400
+        assert "Content-Length" in body["error"]
+        assert connection == "close"
+        assert rec.counters["serve.errors"] == 1
+
+    def test_oversized_length_413_without_reading(self, live_server):
+        # A 1 GiB declaration with a short body: the server must answer
+        # from the header alone instead of waiting for the rest.
+        status, body, connection = post_raw(
+            live_server, str(1 << 30), b'{"row": {}}')
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in body["error"]
+        assert connection == "close"
+
+    def test_server_keeps_serving_after_bad_length(self, live_server):
+        post_raw(live_server, "-5", b"{}")
+        assert get(live_server + "/healthz")[0] == 200
 
 
 class TestMaxRequests:
