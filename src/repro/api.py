@@ -1,9 +1,11 @@
 """Declarative experiment API: specs, config files, one-call runs.
 
 This is the public facade over the registry + engine stack.  A single
-experiment is an :class:`ExperimentSpec`, a whole grid is a
-:class:`SweepSpec`; both load from / dump to plain mappings, so JSON
-and YAML scenario files fully describe a run::
+experiment is an :class:`ExperimentSpec` (validated as a one-cell
+grid), a whole grid is a :class:`SweepSpec` — a
+:class:`~repro.engine.ScenarioGrid` plus engine options; both load
+from / dump to plain mappings, so JSON and YAML scenario files fully
+describe a run::
 
     from repro import api
 
@@ -71,12 +73,7 @@ from pathlib import Path
 
 from .engine import (Job, ResultCache, RetryPolicy, ScenarioGrid,
                      SweepReport, execute_job, run_sweep)
-from .engine.spec import (_normalise_approach, check_audit_params,
-                          check_fingerprintable_params,
-                          check_reserved_params)
 from .pipeline.experiment import EvaluationResult
-from .registry import (APPROACHES, DATASETS, ERRORS, IMPUTERS, METRICS,
-                       MODELS, parse_spec)
 
 __all__ = ["ExperimentSpec", "SweepSpec", "load_config", "report",
            "run_spec", "sweep"]
@@ -152,14 +149,23 @@ def _check_fields(config: Mapping, allowed: set[str], what: str) -> None:
 # ----------------------------------------------------------------------
 # Single experiments
 # ----------------------------------------------------------------------
+#: ExperimentSpec fields that are one-value grid dimensions, mapped to
+#: the :class:`ScenarioGrid` dimension each one fills.
+_CELL_DIMENSIONS = {"dataset": "datasets", "approach": "approaches",
+                    "model": "models", "error": "errors",
+                    "imputer": "imputers", "metric": "metrics",
+                    "seed": "seeds", "rows": "rows",
+                    "n_features": "feature_counts"}
+
+
 @dataclass
 class ExperimentSpec:
     """One fully-described experiment cell, config-file round-trippable.
 
     Component fields (``dataset``/``approach``/``model``/``error``) are
-    registry specs and are canonicalised (and validated) at
-    construction; ``approach`` accepts the baseline aliases
-    (``None``/``"baseline"``/``"LR"``).
+    registry specs; the spec is validated and canonicalised as a
+    one-cell :class:`ScenarioGrid`, so ``approach`` accepts the
+    baseline aliases (``None``/``"baseline"``/``"LR"``).
     """
 
     dataset: str = "compas"
@@ -180,42 +186,17 @@ class ExperimentSpec:
     threads: int | None = None
 
     def __post_init__(self) -> None:
-        self.dataset = DATASETS.canonical(self.dataset)
-        approach = _normalise_approach(self.approach)
-        self.approach = (None if approach is None
-                         else APPROACHES.canonical(approach))
-        self.model = MODELS.canonical(self.model)
-        self.error = (None if self.error is None
-                      else ERRORS.canonical(self.error))
-        self.imputer = (None if self.imputer is None
-                        else IMPUTERS.canonical(self.imputer))
-        self.metric = (None if self.metric is None
-                       else METRICS.canonical(self.metric))
-        check_reserved_params(self.dataset, {
-            "n": "the rows field", "seed": "the seed field"})
-        check_reserved_params(self.approach,
-                              {"seed": "the seed field"})
-        for what, spec in (("dataset", self.dataset),
-                           ("approach", self.approach),
-                           ("model", self.model),
-                           ("error", self.error),
-                           ("imputer", self.imputer),
-                           ("metric", self.metric)):
-            if spec is not None:
-                check_fingerprintable_params(spec, what)
-        self.seed = int(self.seed)
-        self.rows = int(self.rows)
-        self.audit_params = check_audit_params(self.audit,
-                                               self.audit_params)
-        if self.chunk_rows is not None and self.chunk_rows < 1:
-            raise ValueError(
-                f"chunk_rows must be positive, got {self.chunk_rows}")
-        if self.block_size is not None and self.block_size < 1:
-            raise ValueError(
-                f"block_size must be positive, got {self.block_size}")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError(
-                f"threads must be positive, got {self.threads}")
+        grid = self._grid()  # validates + canonicalises
+        for name, dimension in _CELL_DIMENSIONS.items():
+            setattr(self, name, getattr(grid, dimension)[0])
+        self.audit_params = grid.audit_params
+
+    def _grid(self) -> ScenarioGrid:
+        """The one-cell grid this spec describes."""
+        fields = dataclasses.asdict(self)
+        for name, dimension in _CELL_DIMENSIONS.items():
+            fields[dimension] = [fields.pop(name)]
+        return ScenarioGrid(**fields)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -236,32 +217,7 @@ class ExperimentSpec:
     def to_job(self) -> Job:
         """The engine job this spec describes (same fingerprinting as
         a sweep cell, so single runs share the sweep cache)."""
-        dataset, dataset_params = parse_spec(self.dataset)
-        model, model_params = parse_spec(self.model)
-        approach, approach_params = (
-            (None, {}) if self.approach is None
-            else parse_spec(self.approach))
-        error, error_params = ((None, {}) if self.error is None
-                               else parse_spec(self.error))
-        imputer, imputer_params = ((None, {}) if self.imputer is None
-                                   else parse_spec(self.imputer))
-        metric, metric_params = ((None, {}) if self.metric is None
-                                 else parse_spec(self.metric))
-        return Job(dataset=dataset, approach=approach, model=model,
-                   error=error, imputer=imputer, metric=metric,
-                   seed=self.seed, rows=self.rows,
-                   n_features=self.n_features,
-                   causal_samples=self.causal_samples,
-                   test_fraction=self.test_fraction,
-                   dataset_params=dataset_params,
-                   approach_params=approach_params,
-                   model_params=model_params, error_params=error_params,
-                   imputer_params=imputer_params,
-                   metric_params=metric_params,
-                   audit=self.audit, chunk_rows=self.chunk_rows,
-                   audit_params=dict(self.audit_params),
-                   block_size=self.block_size,
-                   threads=self.threads)
+        return self._grid().expand()[0]
 
     def run(self) -> EvaluationResult:
         """Execute the experiment (load → split → corrupt → fit →
@@ -272,38 +228,17 @@ class ExperimentSpec:
 # ----------------------------------------------------------------------
 # Sweeps
 # ----------------------------------------------------------------------
-_ENGINE_FIELDS = ("jobs", "cache_dir", "store", "resume", "retry",
-                  "timeout", "backoff", "max_failures",
-                  "pack_artifacts")
-
-
 @dataclass
-class SweepSpec:
+class SweepSpec(ScenarioGrid):
     """A declarative scenario grid plus engine options.
 
-    The grid fields mirror :class:`~repro.engine.ScenarioGrid` (every
-    dimension entry is a registry spec); ``jobs``/``cache_dir``/
-    ``resume`` configure execution.  Construction validates everything
-    against the live registries, so a typo in a key or parameter fails
-    before any cell is scheduled.
+    A :class:`~repro.engine.ScenarioGrid` (every dimension entry is a
+    registry spec) whose grid fields, canonicalisation and validation
+    are inherited; the fields below configure execution.  Construction
+    validates everything against the live registries, so a typo in a
+    key or parameter fails before any cell is scheduled.
     """
 
-    datasets: tuple
-    approaches: tuple = (None,)
-    models: tuple = ("lr",)
-    errors: tuple = (None,)
-    imputers: tuple = (None,)
-    metrics: tuple = (None,)
-    seeds: tuple = (0,)
-    rows: tuple = (4000,)
-    feature_counts: tuple = (None,)
-    causal_samples: int = 5000
-    test_fraction: float = 0.3
-    audit: str | None = None
-    chunk_rows: int | None = None
-    audit_params: dict = field(default_factory=dict)
-    block_size: int | None = None
-    threads: int | None = None
     jobs: int = 1
     cache_dir: str | None = None
     store: str | None = None
@@ -315,17 +250,7 @@ class SweepSpec:
     pack_artifacts: bool = False
 
     def __post_init__(self) -> None:
-        grid = self.to_grid()  # validates + canonicalises
-        self.datasets = grid.datasets
-        self.approaches = grid.approaches
-        self.models = grid.models
-        self.errors = grid.errors
-        self.imputers = grid.imputers
-        self.metrics = grid.metrics
-        self.seeds = grid.seeds
-        self.rows = grid.rows
-        self.feature_counts = grid.feature_counts
-        self.audit_params = dict(grid.audit_params)
+        super().__post_init__()
         self.jobs = int(self.jobs)
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
@@ -355,39 +280,26 @@ class SweepSpec:
         fields = _as_mapping(fields, "engine")
         allowed = {f.name for f in dataclasses.fields(cls)}
         _check_fields(fields, allowed, "sweep")
-        seeds = fields.get("seeds")
-        if isinstance(seeds, int):
-            if seeds < 1:
-                raise ValueError(f"seeds count must be at least 1, "
-                                 f"got {seeds}")
-            fields["seeds"] = list(range(seeds))
+        if isinstance(fields.get("seeds"), int):
+            fields["seeds"] = range(fields["seeds"])
         return cls(**fields)
 
     def to_config(self) -> dict:
         """``{"sweep": {...}, "engine": {...}}`` mapping (full round
         trip: ``SweepSpec.from_config(spec.to_config()) == spec``)."""
         config = dataclasses.asdict(self)
-        engine = {name: config.pop(name) for name in _ENGINE_FIELDS}
-        config = {name: (list(value) if isinstance(value, tuple)
-                         else value)
-                  for name, value in config.items()}
-        return {"sweep": config, "engine": engine}
+        sweep = {f.name: config.pop(f.name)
+                 for f in dataclasses.fields(ScenarioGrid)}
+        sweep = {name: (list(value) if isinstance(value, tuple)
+                        else value)
+                 for name, value in sweep.items()}
+        return {"sweep": sweep, "engine": config}
 
     # ------------------------------------------------------------------
     def to_grid(self) -> ScenarioGrid:
-        """The :class:`ScenarioGrid` this spec declares."""
-        return ScenarioGrid(
-            datasets=self.datasets, approaches=self.approaches,
-            models=self.models, errors=self.errors,
-            imputers=self.imputers, metrics=self.metrics,
-            seeds=self.seeds,
-            rows=self.rows, feature_counts=self.feature_counts,
-            causal_samples=self.causal_samples,
-            test_fraction=self.test_fraction, audit=self.audit,
-            chunk_rows=self.chunk_rows,
-            audit_params=dict(self.audit_params),
-            block_size=self.block_size,
-            threads=self.threads)
+        """A plain :class:`ScenarioGrid` copy of this spec's grid."""
+        return ScenarioGrid(**{f.name: getattr(self, f.name)
+                               for f in dataclasses.fields(ScenarioGrid)})
 
     def to_policy(self) -> RetryPolicy:
         """The :class:`~repro.engine.RetryPolicy` the engine fields

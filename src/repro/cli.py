@@ -78,19 +78,20 @@ Get a stage recommendation for a deployment profile (Section 5)::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from collections.abc import Sequence
 
 from .datasets import train_test_split
-from .engine import ResultCache, grid_table, run_sweep
+from .engine import ResultCache, grid_slices, grid_table, run_sweep
 from .fairness import Stage
 from .metrics.notions import (Association, CausalHierarchy, Granularity,
                               catalog)
 from .pipeline import (ApplicationProfile, ResultStore,
                        format_results_table, recommend, run_experiment)
 from .registry import (APPROACHES, DATASETS, ERRORS, IMPUTERS, METRICS,
-                       MODELS, format_spec, parse_spec)
+                       MODELS, format_spec)
 
 
 def _spec_argument(registry):
@@ -102,6 +103,14 @@ def _spec_argument(registry):
             raise argparse.ArgumentTypeError(str(exc)) from None
     parse.__name__ = registry.family  # for argparse error messages
     return parse
+
+
+def _seed_range(text: str) -> range:
+    """argparse ``type=`` for ``--seeds N``: the seeds ``0..N-1``."""
+    return range(int(text))
+
+
+_seed_range.__name__ = "int"  # for argparse error messages
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -181,11 +190,11 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="report metric surfaced per cell as "
                                 "raw metric_value (repeatable; "
                                 "default: none)")
-    sweep_cmd.add_argument("--seeds", type=int, default=None,
+    sweep_cmd.add_argument("--seeds", type=_seed_range, default=None,
                            help="number of seeds per cell (0..N-1; "
                                 "default: 1)")
     sweep_cmd.add_argument("--rows", type=int, action="append",
-                           default=[], metavar="N",
+                           metavar="N",
                            help="sample size (repeatable for "
                                 "scalability sweeps; default: 4000)")
     sweep_cmd.add_argument("--causal-samples", type=int, default=None,
@@ -251,6 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "once more than N cells have "
                                 "terminally failed")
     sweep_cmd.add_argument("--pack-artifacts", action="store_true",
+                           default=None,
                            help="also store each computed cell's "
                                 "fitted components (model, SCM, "
                                 "encoding, reference) in the cache, "
@@ -532,33 +542,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                            or args.error or args.imputer or args.metric
                            or args.rows
                            or args.seeds is not None or args.no_baseline)
-    if args.seeds is not None and args.seeds < 1:
-        print("error: --seeds must be at least 1", file=sys.stderr)
-        return 2
-    if args.jobs is not None and args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
-    if args.chunk_rows is not None and args.chunk_rows < 1:
-        print("error: --chunk-rows must be at least 1", file=sys.stderr)
-        return 2
-    if args.block_size is not None and args.block_size < 1:
-        print("error: --block-size must be at least 1", file=sys.stderr)
-        return 2
-    if args.threads is not None and args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
-    if args.retry is not None and args.retry < 1:
-        print("error: --retry must be at least 1", file=sys.stderr)
-        return 2
-    if args.timeout is not None and args.timeout <= 0:
-        print("error: --timeout must be positive", file=sys.stderr)
-        return 2
-    if args.backoff is not None and args.backoff < 0:
-        print("error: --backoff must be >= 0", file=sys.stderr)
-        return 2
-    if args.max_failures is not None and args.max_failures < 0:
-        print("error: --max-failures must be >= 0", file=sys.stderr)
-        return 2
     chaos = None
     if args.chaos is not None:
         from .engine import FaultPlan
@@ -598,58 +581,37 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 models=args.model or ["lr"],
                 errors=[None, *args.error] if args.error else [None],
                 imputers=args.imputer or [None],
-                metrics=args.metric or [None],
-                seeds=range(args.seeds if args.seeds is not None else 1),
-                rows=args.rows or [4000],
-                causal_samples=(args.causal_samples
-                                if args.causal_samples is not None
-                                else 5000),
-            )
+                metrics=args.metric or [None])
         except (KeyError, ValueError) as exc:
             message = exc.args[0] if exc.args else exc
             print(f"error: {message} (see `repro list`)",
                   file=sys.stderr)
             return 2
 
-    # CLI engine/audit flags override the config (or fill defaults).
-    if args.jobs is not None:
-        spec.jobs = args.jobs
+    # Every flag named after a SweepSpec field overrides the config (or
+    # the defaults) and is validated where that field is declared.
     if args.store is not None and args.cache_dir is not None:
         print("error: --store replaces --cache-dir; set only one",
               file=sys.stderr)
         return 2
-    if args.store is not None:
-        spec.cache_dir = args.store
-    elif args.cache_dir is not None:
-        spec.cache_dir = args.cache_dir
-    elif spec.cache_dir is None:
+    names = {f.name for f in dataclasses.fields(SweepSpec)}
+    overrides = {name: value for name, value in vars(args).items()
+                 if name in names and value is not None}
+    if "store" in overrides:
+        overrides["cache_dir"] = overrides.pop("store")
+    if spec.cache_dir is None:
         # The CLI always caches by default (configs disable it
         # explicitly with cache_dir: none).
-        spec.cache_dir = ".sweep-cache"
-    if args.resume is not None:
-        spec.resume = args.resume
-    if args.audit is not None:
-        spec.audit = args.audit
-    if args.chunk_rows is not None:
-        spec.chunk_rows = args.chunk_rows
-    if args.block_size is not None:
-        spec.block_size = args.block_size
-    if args.threads is not None:
-        spec.threads = args.threads
-    if args.config is not None and args.causal_samples is not None:
-        spec.causal_samples = args.causal_samples
-    if args.retry is not None:
-        spec.retry = args.retry
-    if args.timeout is not None:
-        spec.timeout = args.timeout
-    if args.backoff is not None:
-        spec.backoff = args.backoff
-    if args.max_failures is not None:
-        spec.max_failures = args.max_failures
-    if args.pack_artifacts:
-        spec.pack_artifacts = True
+        overrides.setdefault("cache_dir", ".sweep-cache")
+    for name, value in overrides.items():
+        try:
+            spec = dataclasses.replace(spec, **{name: value})
+        except (KeyError, ValueError) as exc:
+            message = exc.args[0] if exc.args else exc
+            print(f"error: --{name.replace('_', '-')}: {message}",
+                  file=sys.stderr)
+            return 2
 
-    grid = spec.to_grid()
     caching = spec.cache_dir not in (None, "none")
     if spec.pack_artifacts and not caching:
         print("error: --pack-artifacts stores bundles in the result "
@@ -664,7 +626,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             return 2
     else:
         cache = None
-    print(grid.describe() + (f", cache at {cache.location}" if caching
+    print(spec.describe() + (f", cache at {cache.location}" if caching
                              else ", caching disabled"))
 
     from . import obs
@@ -683,13 +645,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # -v needs per-cell fragments for its phase breakdowns, so it
     # collects a trace even when none is written to disk.
     collector = (obs.TraceCollector(env=obs.environment_info(),
-                                    meta={"grid": grid.describe()},
+                                    meta={"grid": spec.describe()},
                                     trace_memory=args.trace_memory)
                  if args.trace is not None or args.verbose else None)
     if chaos is not None:
         print(f"chaos plan active: {chaos.describe()}")
     try:
-        report = run_sweep(grid.expand(), cache=cache,
+        report = run_sweep(spec.expand(), cache=cache,
                            max_workers=spec.jobs, resume=spec.resume,
                            progress=progress, trace=collector,
                            policy=spec.to_policy(), chaos=chaos,
@@ -700,12 +662,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         collector.write(args.trace)
         print(f"trace written to {args.trace} "
               f"(inspect with `repro trace {args.trace}`)")
-    for dataset_spec in grid.datasets:
-        dataset = parse_spec(dataset_spec)[0]
-        print()
-        print(grid_table(report.outcomes, dataset=dataset,
-                         title=f"{dataset} (seed-averaged over "
-                               f"{len(grid.seeds)} seeds)"))
+    _print_tables(report.outcomes)
     print()
     print(f"sweep finished: {report.summary()}")
     for failure in report.failures:
@@ -716,6 +673,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # cached, a re-run resumes from them.
         return 130
     return 1 if report.failures else 0
+
+
+def _print_tables(outcomes) -> None:
+    """Print the Figure-7 tables: one per dataset and per combination
+    of the other axes that vary, so clean and corrupted (or lr and knn)
+    cells never render as identically-labelled rows of one table."""
+    for dataset in dict.fromkeys(o.job.dataset for o in outcomes):
+        selected = [o for o in outcomes if o.job.dataset == dataset]
+        seeds = {o.job.seed for o in selected}
+        for label, cells in grid_slices(selected):
+            qualifier = f"{label}, " if label else ""
+            print()
+            print(grid_table(cells, dataset=dataset,
+                             title=f"{dataset} ({qualifier}"
+                                   f"seed-averaged over "
+                                   f"{len(seeds)} seeds)"))
 
 
 def _parse_where(pairs: Sequence[str]) -> dict:
@@ -730,8 +703,7 @@ def _parse_where(pairs: Sequence[str]) -> dict:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from .engine import (export_csv, export_json, format_pivot_table,
-                         grid_slices)
+    from .engine import export_csv, export_json, format_pivot_table
     from .pipeline.report import format_runtime_table
 
     store = args.store if args.store is not None else args.cache_dir
@@ -763,23 +735,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         return 1
 
     if not args.no_tables:
-        datasets: list[str] = []
-        for outcome in outcomes:
-            if outcome.job.dataset not in datasets:
-                datasets.append(outcome.job.dataset)
-        for dataset in datasets:
-            selected = [o for o in outcomes if o.job.dataset == dataset]
-            seeds = {o.job.seed for o in selected}
-            # One table per combination of varying non-approach axes,
-            # so e.g. clean and corrupted cells never render as
-            # identically-labelled rows of one table.
-            for label, cells in grid_slices(selected):
-                qualifier = f"{label}, " if label else ""
-                print()
-                print(grid_table(cells, dataset=dataset,
-                                 title=f"{dataset} ({qualifier}"
-                                       f"seed-averaged over "
-                                       f"{len(seeds)} seeds)"))
+        _print_tables(outcomes)
 
     # Pivots and overhead series go through the cache so SQL backends
     # compile them (window functions + GROUP BY) instead of walking

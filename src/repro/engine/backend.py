@@ -51,6 +51,7 @@ from pathlib import Path
 from .. import obs
 from ..pipeline.store import (ResultStore, result_from_dict,
                               result_to_dict)
+from .spec import JOB_AXES
 
 __all__ = ["StoreBackend", "FileBackend", "SqlBackend", "DuckDbBackend",
            "parse_store", "grid_order_key"]
@@ -59,15 +60,8 @@ __all__ = ["StoreBackend", "FileBackend", "SqlBackend", "DuckDbBackend",
 SQL_STORE_VERSION = 1
 
 #: Report axes materialized as real columns on the ``cells`` table, in
-#: declaration order.  Must mirror ``repro.engine.report._JOB_AXES``.
-AXIS_COLUMNS = ("dataset", "approach", "model", "error", "imputer",
-                "metric", "seed", "rows", "n_features", "audit",
-                "chunk_rows", "block_size")
-
-_AXIS_COLUMN_TYPES = {
-    "seed": "INTEGER", "rows": "INTEGER", "n_features": "INTEGER",
-    "chunk_rows": "INTEGER", "block_size": "INTEGER",
-}
+#: declaration order.
+AXIS_COLUMNS = tuple(JOB_AXES)
 
 
 def grid_order_key(job) -> str:
@@ -103,14 +97,14 @@ def _axis_values(params: dict) -> tuple[dict | None, str | None]:
     component since removed from the registry) — such rows keep their
     payload but are excluded from SQL-compiled reports, exactly as the
     in-memory path skips them."""
-    from .report import _JOB_AXES, _axis_value
+    from .report import _axis_value
     from .spec import job_from_params
 
     try:
         job = job_from_params(params)
     except (KeyError, TypeError, ValueError):
         return None, None
-    return ({axis: _axis_value(job, axis) for axis in _JOB_AXES},
+    return ({axis: _axis_value(job, axis) for axis in AXIS_COLUMNS},
             grid_order_key(job))
 
 
@@ -333,8 +327,8 @@ class SqlBackend(StoreBackend):
 
     def _init_schema(self, conn: sqlite3.Connection) -> None:
         axis_cols = ", ".join(
-            f'"{c}" {_AXIS_COLUMN_TYPES.get(c, "TEXT")}'
-            for c in AXIS_COLUMNS)
+            f'"{axis}" {"INTEGER" if kind == "int" else "TEXT"}'
+            for axis, kind in JOB_AXES.items())
         conn.execute(f"""
             CREATE TABLE IF NOT EXISTS cells (
                 fingerprint TEXT PRIMARY KEY,

@@ -20,6 +20,7 @@ from statistics import fmean
 from ..pipeline.experiment import EvaluationResult
 from ..pipeline.report import format_results_table
 from .executor import JobOutcome
+from .spec import JOB_AXES
 
 __all__ = ["cell_key", "group_outcomes", "mean_result",
            "aggregate_over_seeds", "pivot", "grid_table",
@@ -36,10 +37,9 @@ _METRIC_FIELDS = ("accuracy", "precision", "recall", "f1", "di_star",
                   "fit_seconds")
 
 #: Job axes a report can group, pivot, or filter on.
-_COMPONENT_AXES = ("dataset", "approach", "model", "error", "imputer",
-                   "metric")
-_JOB_AXES = (*_COMPONENT_AXES, "seed", "rows", "n_features", "audit",
-             "chunk_rows", "block_size")
+_JOB_AXES = tuple(JOB_AXES)
+_COMPONENT_AXES = tuple(axis for axis, kind in JOB_AXES.items()
+                        if kind == "component")
 
 
 def _axis_value(job, attr: str):
@@ -68,10 +68,8 @@ def cell_key(outcome: JobOutcome) -> tuple:
     coordinates: cells that differ only in ``tau`` (or in
     ``audit``/``chunk_rows``) aggregate separately.
     """
-    job = outcome.job
-    return (*(_axis_value(job, axis) for axis in _COMPONENT_AXES),
-            job.rows, job.n_features, job.audit, job.chunk_rows,
-            job.block_size)
+    return tuple(_axis_value(outcome.job, axis) for axis in _JOB_AXES
+                 if axis != "seed")
 
 
 def group_outcomes(outcomes: Iterable[JobOutcome], attr: str
@@ -225,21 +223,16 @@ def _normalise_axis_query(axis: str, value):
     ``Celis-pp`` because 0.8 restates the declared default)."""
     if isinstance(value, str) and value.lower() in _NONE_SPELLINGS:
         value = None
-    if axis in ("seed", "rows", "n_features", "chunk_rows",
-                "block_size"):
+    if JOB_AXES[axis] == "int":
         return None if value is None else int(value)
-    if value is None or axis == "audit":
+    if value is None or JOB_AXES[axis] == "text":
         return value
-    from ..registry import (APPROACHES, DATASETS, ERRORS, IMPUTERS,
-                            METRICS, MODELS)
-    registry = {"dataset": DATASETS, "approach": APPROACHES,
-                "model": MODELS, "error": ERRORS, "imputer": IMPUTERS,
-                "metric": METRICS}[axis]
     if axis == "approach":
         from .spec import _normalise_approach
         if _normalise_approach(value) is None:
             return None
-    return registry.canonical(value)
+    from ..registry import REGISTRIES
+    return REGISTRIES[axis].canonical(value)
 
 
 def filter_outcomes(outcomes: Iterable[JobOutcome],
@@ -266,8 +259,8 @@ def filter_outcomes(outcomes: Iterable[JobOutcome],
 #: Axes grid_slices partitions on — everything that distinguishes
 #: Figure-7 table rows except the approach (the row label) and the
 #: seed (aggregated away).
-_SLICE_AXES = ("dataset", "error", "imputer", "metric", "rows",
-               "n_features", "audit", "chunk_rows", "block_size")
+_SLICE_AXES = tuple(axis for axis in _JOB_AXES
+                    if axis not in ("approach", "seed"))
 
 
 def grid_slices(outcomes: Iterable[JobOutcome],

@@ -33,6 +33,7 @@ not just that it was.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["Attempt", "RetryPolicy", "TransientError",
@@ -150,13 +151,16 @@ class RetryPolicy:
         if self.max_attempts < 1:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff < 0:
-            raise ValueError(f"backoff must be >= 0, got {self.backoff}")
+        if not (math.isfinite(self.backoff) and self.backoff >= 0):
+            raise ValueError(f"backoff must be finite and >= 0, "
+                             f"got {self.backoff}")
         if self.backoff_factor <= 0:
             raise ValueError(f"backoff_factor must be > 0, "
                              f"got {self.backoff_factor}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if self.timeout is not None and not (math.isfinite(self.timeout)
+                                             and self.timeout > 0):
+            raise ValueError(f"timeout must be finite and > 0, "
+                             f"got {self.timeout}")
         if self.max_failures is not None and self.max_failures < 0:
             raise ValueError(
                 f"max_failures must be >= 0, got {self.max_failures}")

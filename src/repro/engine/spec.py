@@ -23,8 +23,8 @@ import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-__all__ = ["AUDITS", "BASELINE_ALIASES", "Job", "ScenarioGrid",
-           "SPEC_VERSION", "job_from_params"]
+__all__ = ["AUDITS", "BASELINE_ALIASES", "JOB_AXES", "Job",
+           "ScenarioGrid", "SPEC_VERSION", "job_from_params"]
 
 #: Bumped whenever the experimental protocol behind a job changes
 #: meaning (it is hashed into every fingerprint, so old cache entries
@@ -38,6 +38,23 @@ SPEC_VERSION = 4
 
 #: Spellings accepted for the fairness-unaware baseline pipeline.
 BASELINE_ALIASES = {None, "", "baseline", "none", "LR"}
+
+#: The job axes reports group, filter, pivot and slice on, in the SQL
+#: store's column order, each with its kind: ``"component"`` (a
+#: registry spec whose ``<axis>_params`` join its label), ``"int"``, or
+#: ``"text"``.  Every axis list of the report and the store derives
+#: from this one.
+JOB_AXES = {
+    "dataset": "component", "approach": "component",
+    "model": "component", "error": "component", "imputer": "component",
+    "metric": "component", "seed": "int", "rows": "int",
+    "n_features": "int", "audit": "text", "chunk_rows": "int",
+    "block_size": "int",
+}
+
+#: A grid's dimensions, in expansion-nesting declaration order.
+_DIMENSIONS = ("datasets", "approaches", "models", "errors", "imputers",
+               "metrics", "seeds", "rows", "feature_counts")
 
 #: Recognised per-cell audit extensions (``None`` = paper metrics only).
 AUDITS = (None, "counterfactual")
@@ -407,8 +424,10 @@ class ScenarioGrid:
         self.audit_params = check_audit_params(self.audit,
                                                self.audit_params)
 
-        if not self.datasets:
-            raise ValueError("a ScenarioGrid needs at least one dataset")
+        for name in _DIMENSIONS:
+            if not getattr(self, name):
+                raise ValueError(f"grid dimension {name!r} is empty; "
+                                 "give it at least one value")
         for dataset_spec in self.datasets:
             check_reserved_params(dataset_spec, {
                 "n": "the rows dimension", "seed": "the seeds dimension"})
@@ -530,9 +549,7 @@ class ScenarioGrid:
     def describe(self) -> str:
         """One-line summary for logs and CLI output."""
         dims = []
-        for name in ("datasets", "approaches", "models", "errors",
-                     "imputers", "metrics", "seeds", "rows",
-                     "feature_counts"):
+        for name in _DIMENSIONS:
             values = getattr(self, name)
             if len(values) > 1 or (len(values) == 1
                                    and values[0] is not None):

@@ -30,9 +30,8 @@ class KNearestNeighbors(Classifier):
     def __init__(self, k: int = 33, block_size: int | None = None):
         if k < 1:
             raise ValueError("k must be at least 1")
-        if block_size is not None and block_size < 1:
-            raise ValueError(
-                f"block_size must be at least 1, got {block_size}")
+        if block_size is not None:
+            pairwise.resolve_block_size(block_size)  # validates
         self.k = k
         self.block_size = block_size
         self.X_: np.ndarray | None = None

@@ -149,6 +149,27 @@ class TestGridSlices:
         assert set(slices) == {"imputer=mean", "imputer=knn"}
         assert all(len(cells) == 4 for cells in slices.values())
 
+    def test_models_split_into_labelled_tables(self, tmp_path, capsys):
+        """Two models used to render as duplicate, unlabelled `LR` and
+        `Hardt` rows of one table, in `repro sweep` and `repro report`
+        alike."""
+        from repro.engine import grid_slices
+
+        argv = ["--dataset", "german", "--approach", "Hardt-eo",
+                "--model", "lr", "--model", "knn", "--rows", "300",
+                "--causal-samples", "200", "--cache-dir", str(tmp_path),
+                "-q"]
+        assert main(["sweep", *argv]) == 0
+        swept = capsys.readouterr().out
+        slices = dict(grid_slices(ResultCache(tmp_path).outcomes()))
+        assert set(slices) == {"model=lr", "model=knn"}
+        assert all(len(cells) == 2 for cells in slices.values())
+        assert main(["report", "--cache-dir", str(tmp_path)]) == 0
+        reported = capsys.readouterr().out
+        for out in (swept, reported):
+            assert "german (model=lr, " in out
+            assert "german (model=knn, " in out
+
     def test_single_slice_has_empty_label(self, cache_dir):
         from repro.engine import filter_outcomes, grid_slices
 

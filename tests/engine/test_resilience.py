@@ -74,10 +74,22 @@ class TestRetryPolicy:
     @pytest.mark.parametrize("fields", [
         {"max_attempts": 0}, {"backoff": -1.0}, {"backoff_factor": 0},
         {"timeout": 0}, {"timeout": -5}, {"max_failures": -1},
-        {"quarantine": 0}])
+        {"quarantine": 0},
+        # An infinite backoff overflowed time.sleep mid-sweep, and a
+        # NaN timeout silently disabled the deadline.
+        {"backoff": float("inf")}, {"backoff": float("nan")},
+        {"timeout": float("inf")}, {"timeout": float("nan")}])
     def test_validation(self, fields):
         with pytest.raises(ValueError):
             RetryPolicy(**fields)
+
+    @pytest.mark.parametrize("flag", ["--backoff", "--timeout"])
+    def test_non_finite_flag_rejected_by_sweep(self, flag, capsys):
+        from repro.cli import main
+
+        assert main(["sweep", "--dataset", "german", "--rows", "300",
+                     "--cache-dir", "none", flag, "inf"]) == 2
+        assert f"error: {flag}: " in capsys.readouterr().err
 
     def test_attempt_describe(self):
         attempt = Attempt(kind="error", seconds=1.25,

@@ -55,9 +55,14 @@ class TestValidation:
         with pytest.raises(KeyError):
             small_grid(**kwargs)
 
-    def test_empty_datasets_rejected(self):
-        with pytest.raises(ValueError):
-            ScenarioGrid(datasets=[])
+    @pytest.mark.parametrize("dimension", [
+        "datasets", "approaches", "models", "errors", "imputers",
+        "metrics", "seeds", "rows", "feature_counts"])
+    def test_empty_dimension_rejected(self, dimension):
+        """An empty dimension expands to zero cells, which would run
+        nothing and still report success."""
+        with pytest.raises(ValueError, match=repr(dimension)):
+            small_grid(**{dimension: []})
 
     @pytest.mark.parametrize("kwargs", [{"seeds": [-1]}, {"rows": [0]}])
     def test_bad_numbers_rejected(self, kwargs):

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
+import repro.cli as cli
 from repro.cli import main
+from repro.engine import ResultCache, SweepReport
 
 
 class TestList:
@@ -123,3 +127,115 @@ class TestAudit:
 def test_missing_command_rejected():
     with pytest.raises(SystemExit):
         main([])
+
+
+#: Every `repro sweep` engine or audit flag: (flag, its arguments,
+#: the value it must reach `run_sweep` as, the value a config sets
+#: instead, a bad value or None, where the value lands in the call).
+_SWEEP_FLAGS = [
+    ("--jobs", ["2"], 2, 3, "0", lambda jobs, kw: kw["max_workers"]),
+    ("--no-resume", [], False, True, None, lambda jobs, kw: kw["resume"]),
+    ("--retry", ["3"], 3, 2, "0",
+     lambda jobs, kw: kw["policy"].max_attempts),
+    ("--timeout", ["60"], 60.0, 30.0, "0",
+     lambda jobs, kw: kw["policy"].timeout),
+    ("--backoff", ["0.5"], 0.5, 2.0, "-1",
+     lambda jobs, kw: kw["policy"].backoff),
+    ("--max-failures", ["4"], 4, 1, "-1",
+     lambda jobs, kw: kw["policy"].max_failures),
+    ("--pack-artifacts", [], True, False, None, lambda jobs, kw: kw["pack"]),
+    ("--audit", ["counterfactual"], "counterfactual", None, "quantum",
+     lambda jobs, kw: jobs[0].audit),
+    ("--chunk-rows", ["16"], 16, 8, "0",
+     lambda jobs, kw: jobs[0].chunk_rows),
+    ("--block-size", ["64"], 64, 32, "0",
+     lambda jobs, kw: jobs[0].block_size),
+    ("--threads", ["2"], 2, 3, "0", lambda jobs, kw: jobs[0].threads),
+    ("--causal-samples", ["250"], 250, 300, "many",
+     lambda jobs, kw: jobs[0].causal_samples),
+]
+_ENGINE_FIELDS = {"jobs", "resume", "retry", "timeout", "backoff",
+                  "max_failures", "pack_artifacts"}
+
+
+def _sweep_call(monkeypatch, argv):
+    """Run `repro sweep` with `run_sweep` stubbed out; return its exit
+    code and the (jobs, keyword arguments) it was called with."""
+    calls = []
+
+    def fake_run_sweep(jobs, **kwargs):
+        calls.append((list(jobs), kwargs))
+        return SweepReport(outcomes=[])
+
+    monkeypatch.setattr(cli, "run_sweep", fake_run_sweep)
+    try:
+        code = main(["sweep", *argv])
+    except SystemExit as exc:  # argparse rejections
+        code = exc.code
+    return code, (calls[0] if calls else None)
+
+
+class TestSweepFlags:
+    """Characterisation of how each engine/audit flag reaches the
+    engine: validated with the flag named in the error, and applied
+    over the defaults or over a config's value."""
+
+    @pytest.mark.parametrize("mode", ["flags", "config"])
+    @pytest.mark.parametrize(
+        "flag, args, expected, config_value, bad, where", _SWEEP_FLAGS,
+        ids=[case[0] for case in _SWEEP_FLAGS])
+    def test_flag_reaches_run_sweep(self, tmp_path, monkeypatch, capsys,
+                                    mode, flag, args, expected,
+                                    config_value, bad, where):
+        field = flag.removeprefix("--no-").removeprefix("--")
+        field = field.replace("-", "_")
+        if mode == "config":
+            config = {"sweep": {"datasets": ["german"],
+                                "approaches": ["baseline"],
+                                "rows": [300]},
+                      "engine": {}}
+            section = "engine" if field in _ENGINE_FIELDS else "sweep"
+            config[section][field] = config_value
+            path = tmp_path / "sweep.json"
+            path.write_text(json.dumps(config))
+            base = ["--config", str(path)]
+        else:
+            base = ["--dataset", "german", "--approach", "baseline",
+                    "--no-baseline", "--rows", "300"]
+        base += ["--cache-dir", str(tmp_path / "cache"), "-q"]
+
+        if bad is not None:
+            code, call = _sweep_call(monkeypatch, [*base, flag, bad])
+            assert code == 2 and call is None
+            assert flag in capsys.readouterr().err
+
+        code, call = _sweep_call(monkeypatch, [*base, flag, *args])
+        assert code == 0, capsys.readouterr().err
+        jobs, kwargs = call
+        assert where(jobs, kwargs) == expected
+        assert (kwargs["cache"].location
+                == ResultCache(tmp_path / "cache").location)
+
+    @pytest.mark.parametrize("flag, store", [
+        ("--store", "sqlite:{tmp}/cells.db"), ("--cache-dir", "{tmp}/c")])
+    def test_store_overrides_config_cache_dir(self, tmp_path, monkeypatch,
+                                              flag, store):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({
+            "sweep": {"datasets": ["german"], "approaches": ["baseline"],
+                      "rows": [300]},
+            "engine": {"cache_dir": str(tmp_path / "from-config")}}))
+        store = store.format(tmp=tmp_path)
+        code, (_, kwargs) = _sweep_call(
+            monkeypatch, ["--config", str(path), flag, store, "-q"])
+        assert code == 0
+        assert kwargs["cache"].location == ResultCache(store).location
+
+    def test_store_with_cache_dir_is_error(self, tmp_path, monkeypatch,
+                                           capsys):
+        code, call = _sweep_call(
+            monkeypatch, ["--dataset", "german", "--rows", "300",
+                          "--store", f"sqlite:{tmp_path / 'c.db'}",
+                          "--cache-dir", str(tmp_path / "c")])
+        assert code == 2 and call is None
+        assert "--store" in capsys.readouterr().err
